@@ -31,13 +31,11 @@ The agent owns:
 from __future__ import annotations
 
 import os
-import socket
-import tempfile
 import threading
 import time
-import uuid
 
 from repro.core.errors import DomainUnavailableException
+from repro.ipc.child import ChildProcess, socket_path
 from repro.ipc.ntrpc import RpcServer
 
 from .proto import PlacementGoneError, envelope
@@ -189,122 +187,32 @@ class FleetHostAgent:
         }
 
 
-def _host_agent_main(host_id, registry, secret, epoch, path, parent_pid):
-    agent = FleetHostAgent(host_id, registry, secret, epoch)
-    server = RpcServer(path, agent.handlers())
-
-    def watchdog():
-        while True:
-            time.sleep(0.1)
-            # Orphan check against the REAL parent pid captured at fork
-            # (comparing against 1 would self-destruct under PID-1
-            # parents, i.e. containers).
-            if os.getppid() != parent_pid:
-                os._exit(0)
-
-    threading.Thread(target=watchdog, daemon=True,
-                     name=f"fleet-{host_id}-watchdog").start()
-    server.serve()
-
-
-class FleetHostProcess:
+class FleetHostProcess(ChildProcess):
     """Forks an agent process for one fleet host.
 
     ``registry`` maps a servlet *kind* to a setup callable returning a
     capability (built inside the agent after the fork — closures are
     fine, nothing is pickled).  ``secret`` is the shared fleet secret
-    the token replica derives per-epoch keys from.
+    the token replica derives per-epoch keys from.  Supervision is
+    :class:`~repro.ipc.child.ChildProcess`'s: the agent exits on EOF of
+    its control channel when the coordinator's process dies, and
+    :meth:`kill` leaves the socket path behind exactly as a dead
+    machine's address would.
     """
 
+    error = DomainUnavailableException
+
     def __init__(self, host_id, registry, *, secret, epoch=0):
+        super().__init__(label=f"fleet host {host_id!r}",
+                         path=socket_path(f"fleet-{host_id}"))
         self.host_id = host_id
-        self.path = os.path.join(
-            tempfile.gettempdir(),
-            f"repro-fleet-{host_id}-{uuid.uuid4().hex[:8]}.sock",
-        )
         self._registry = registry
         self._secret = secret
         self._epoch = epoch
-        self._pid = None
 
-    @property
-    def pid(self):
-        return self._pid
-
-    def start(self):
-        parent_pid = os.getpid()
-        pid = os.fork()
-        if pid == 0:
-            status = 0
-            try:
-                _host_agent_main(self.host_id, self._registry,
-                                 self._secret, self._epoch, self.path,
-                                 parent_pid)
-            except BaseException:
-                import traceback
-
-                traceback.print_exc()
-                status = 1
-            finally:
-                os._exit(status)
-        self._pid = pid
-        self._wait_for_socket()
-        return self
-
-    def _wait_for_socket(self, timeout=10.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not self.alive():
-                raise DomainUnavailableException(
-                    f"fleet host {self.host_id!r} died during startup")
-            if os.path.exists(self.path):
-                try:
-                    probe = socket.socket(socket.AF_UNIX,
-                                          socket.SOCK_STREAM)
-                    probe.connect(self.path)
-                    probe.close()
-                    return
-                except OSError:
-                    pass
-            time.sleep(0.005)
-        raise DomainUnavailableException(
-            f"fleet host {self.host_id!r} socket did not appear")
-
-    def alive(self):
-        if self._pid is None:
-            return False
-        try:
-            pid, _status = os.waitpid(self._pid, os.WNOHANG)
-        except ChildProcessError:
-            return False
-        if pid == self._pid:
-            self._pid = None
-            return False
-        return True
-
-    def kill(self):
-        """SIGKILL the agent *without* unlinking its socket — a crash,
-        not a stop: the stale path stays behind exactly as a dead
-        machine's address would."""
-        if self._pid is not None:
-            try:
-                os.kill(self._pid, 9)
-                os.waitpid(self._pid, 0)
-            except OSError:
-                pass
-            self._pid = None
-
-    def stop(self):
-        self.kill()
-        if os.path.exists(self.path):
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.stop()
-        return False
+    def main(self, channel):
+        agent = FleetHostAgent(self.host_id, self._registry, self._secret,
+                               self._epoch)
+        server = RpcServer(self.path, agent.handlers()).bind()
+        channel.ready()
+        server.serve()

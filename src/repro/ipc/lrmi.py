@@ -17,7 +17,10 @@ Architecture
   connection gets a serving thread; dispatch goes *through the real
   in-process capability stub*, so every in-process guarantee (segment
   switch, argument copying, revocation and termination checks,
-  accounting) holds unchanged inside the host.
+  accounting) holds unchanged inside the host.  The host is a
+  :class:`~repro.ipc.child.ChildProcess`: it reports READY once it is
+  listening and exits on EOF of its control channel when its parent
+  dies; its sweeper only sweeps revoked exports.
 * :class:`DomainClient` — the parent-side peer: a small pool of
   connections, ``lookup(name)`` returning remote-capability proxies, and
   kernel control verbs (``revoke``/``terminate``/``stats``/``shutdown``).
@@ -87,10 +90,8 @@ import os
 import select
 import socket
 import struct
-import tempfile
 import threading
 import time
-import uuid
 
 from repro.core import Capability, register_capref_type
 from repro.core import convention as _convention
@@ -112,6 +113,7 @@ from repro.core.regions import (
 from repro.core.remote import is_remote_interface
 from repro.core.serial import ObjectReader, ObjectWriter, dumps, loads
 
+from .child import ChildProcess, socket_path
 from .shm import GRANT, BulkRing, RingError
 from .wire import (
     MAX_FRAME,
@@ -1409,160 +1411,84 @@ class _HostKernel(_Peer):
         raise ProtocolError(f"unknown control verb {verb!r}")
 
 
-def _host_main(path, setup, parent_pid):
-    """Child-process entry: build bindings, serve LRMI forever."""
-    bindings = setup()
-    if not isinstance(bindings, dict) or not bindings:
-        raise TypeError("setup() must return a non-empty {name: Capability}")
-    kernel = _HostKernel(bindings)
-
-    def sweeper():
-        while True:
-            time.sleep(SWEEP_INTERVAL)
-            # Orphan check against the REAL parent pid captured at fork:
-            # comparing against 1 would self-destruct every host when
-            # the parent itself runs as PID 1 (containers).
-            if os.getppid() != parent_pid:
-                os._exit(0)  # orphaned: the parent died
-            kernel.sweep_and_broadcast()
-
-    threading.Thread(target=sweeper, daemon=True,
-                     name="lrmi-host-sweeper").start()
-
-    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    listener.bind(path)
-    listener.listen(16)
-
-    def serve(conn_sock):
-        connection = _Connection(conn_sock, None,
-                                 dispatcher=kernel.handle_control,
-                                 recv_fds=True)
-        connection.peer = _ConnectionPeer(kernel, connection)
-        kernel.register_connection(connection)
-        try:
-            connection.serve_loop()
-        finally:
-            kernel.unregister_connection(connection)
-
-    while True:
-        conn_sock, _ = listener.accept()
-        threading.Thread(target=serve, args=(conn_sock,), daemon=True,
-                         name="lrmi-host-conn").start()
-
-
-class DomainHostProcess:
+class DomainHostProcess(ChildProcess):
     """Forks a child hosting out-of-process domains behind LRMI.
 
     ``setup`` runs **in the child** after fork and returns
     ``{name: Capability}`` — the host's published bindings (looked up by
     :meth:`DomainClient.lookup`).  Closures are fine; nothing is pickled.
+    Supervision — readiness, orphan exit, stop and crash-kill — is
+    :class:`~repro.ipc.child.ChildProcess`'s; a ``setup()`` failure
+    raises :class:`DomainUnavailableException` carrying its text.
     """
 
+    error = DomainUnavailableException
+
     def __init__(self, setup, name="domain-host"):
+        super().__init__(label=f"domain host {name!r}",
+                         path=socket_path("lrmi"))
         self.name = name
-        self.path = os.path.join(
-            tempfile.gettempdir(),
-            f"repro-lrmi-{uuid.uuid4().hex[:12]}.sock",
-        )
         self._setup = setup
-        self._pid = None
         # The last pid this process forked, remembered past alive()'s
-        # reaping (which clears _pid) so stop() can purge the dead
-        # host's region segments by name.
+        # reaping (which clears pid) so its region segments can be
+        # purged by name once it is dead.
         self._spawned_pid = None
 
-    @property
-    def pid(self):
-        return self._pid
-
     def start(self):
-        if os.path.exists(self.path):
-            # Restart-in-place after a crash: the dead host's socket
-            # file survives it and would make the child's bind fail.
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-        parent_pid = os.getpid()
-        pid = os.fork()
-        if pid == 0:
-            status = 0
-            try:
-                _host_main(self.path, self._setup, parent_pid)
-            except BaseException:
-                # Print BEFORE exiting: a bare os._exit would swallow a
-                # setup() failure entirely, leaving the parent's generic
-                # "died during startup" as the only (useless) signal.
-                import traceback
-
-                traceback.print_exc()
-                status = 1
-            finally:
-                os._exit(status)
-        self._pid = pid
-        self._spawned_pid = pid
-        self._wait_for_socket()
+        self._purge_regions()
+        super().start()
+        self._spawned_pid = self.pid
         return self
 
-    def _wait_for_socket(self, timeout=10.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not self.alive():
-                raise DomainUnavailableException(
-                    f"domain host {self.name!r} died during startup"
-                )
-            if os.path.exists(self.path):
-                try:
-                    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    probe.connect(self.path)
-                    probe.close()
-                    return
-                except OSError:
-                    pass
-            time.sleep(0.005)
-        raise DomainUnavailableException(
-            f"domain host {self.name!r} socket did not appear"
-        )
-
-    def alive(self):
-        if self._pid is None:
-            return False
-        try:
-            pid, _status = os.waitpid(self._pid, os.WNOHANG)
-        except ChildProcessError:
-            return False
-        if pid == self._pid:
-            self._pid = None
-            return False
-        return True
-
     def stop(self):
-        if self._pid is not None:
-            try:
-                os.kill(self._pid, 9)
-                os.waitpid(self._pid, 0)
-            except OSError:
-                pass
-            self._pid = None
-        if self._spawned_pid is not None:
-            # The host is dead (just killed, or reaped earlier by
-            # alive()): reclaim whatever region segments it left in
-            # /dev/shm — a SIGKILL gives its atexit hooks no chance, so
-            # the supervisor's by-name purge is the cleanup of record.
+        super().stop()
+        self._purge_regions()
+
+    def _purge_regions(self):
+        # The host is dead (stopped, killed, or reaped by alive()):
+        # reclaim whatever region segments it left in /dev/shm — a
+        # SIGKILL gives its atexit hooks no chance, so the supervisor's
+        # by-name purge is the cleanup of record.
+        if self._spawned_pid is not None and self.pid is None:
             _purge_regions(self._spawned_pid)
             self._spawned_pid = None
-        if os.path.exists(self.path):
+
+    def main(self, channel):
+        """Child body: build the bindings, then serve LRMI forever."""
+        bindings = self._setup()
+        if not isinstance(bindings, dict) or not bindings:
+            raise TypeError(
+                "setup() must return a non-empty {name: Capability}")
+        kernel = _HostKernel(bindings)
+
+        def sweeper():
+            while True:
+                time.sleep(SWEEP_INTERVAL)
+                kernel.sweep_and_broadcast()
+
+        threading.Thread(target=sweeper, daemon=True,
+                         name="lrmi-host-sweeper").start()
+
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(self.path)
+        listener.listen(16)
+        channel.ready()
+
+        def serve(conn_sock):
+            connection = _Connection(conn_sock, None,
+                                     dispatcher=kernel.handle_control,
+                                     recv_fds=True)
+            connection.peer = _ConnectionPeer(kernel, connection)
+            kernel.register_connection(connection)
             try:
-                os.unlink(self.path)
-            except OSError:
-                pass
+                connection.serve_loop()
+            finally:
+                kernel.unregister_connection(connection)
 
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.stop()
-        return False
+        while True:
+            conn_sock, _ = listener.accept()
+            threading.Thread(target=serve, args=(conn_sock,), daemon=True,
+                             name="lrmi-host-conn").start()
 
 
 # -- the client ---------------------------------------------------------------

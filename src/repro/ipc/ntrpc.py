@@ -30,7 +30,12 @@ same hardening the cross-process LRMI client grew in PR 6:
 * **graceful stop** — :meth:`RpcServer.stop` closes the listener and
   every live connection, joins the serving threads, and unlinks the
   socket path (binding also unlinks a stale path left by a crashed
-  predecessor, mirroring ``DomainHostProcess.start``).
+  predecessor).
+* **one supervisor** — :class:`RpcServerProcess` is a
+  :class:`~repro.ipc.child.ChildProcess`: ``start()`` returns once the
+  child reports READY on its control channel, a bind failure raises
+  :class:`RpcTransportError` carrying the child's error, and the server
+  exits when its parent dies (EOF on the channel).
 
 Fault injection: the chaos harness (``repro.testing.chaos``) installs
 ``_chaos`` here to model network **partitions** between named endpoints
@@ -44,11 +49,10 @@ from __future__ import annotations
 import os
 import select
 import socket
-import tempfile
 import threading
 import time
-import uuid
 
+from .child import ChildProcess, socket_path
 from .wire import MAX_FRAME, WireError, recv_exact, recv_frame, send_frame
 
 _OK = 0
@@ -166,9 +170,7 @@ class RpcServer:
     MAX_RECORDED_ERRORS = 64
 
     def __init__(self, path=None, handlers=None, *, on_error=None):
-        self.path = path or os.path.join(
-            tempfile.gettempdir(), f"repro-rpc-{uuid.uuid4().hex[:12]}.sock"
-        )
+        self.path = path or socket_path("rpc")
         self.handlers = dict(handlers or {})
         self.on_error = on_error
         self.stopping = False
@@ -181,7 +183,7 @@ class RpcServer:
     def bind(self):
         if os.path.exists(self.path):
             # A crashed predecessor leaves its socket file behind and
-            # would make this bind fail (mirror DomainHostProcess.start).
+            # would make this bind fail (mirror ChildProcess.start).
             try:
                 os.unlink(self.path)
             except OSError:
@@ -230,9 +232,12 @@ class RpcServer:
         listener = self._listener
         if listener is not None:
             try:
-                listener.close()
+                # close() alone leaves a thread blocked in accept();
+                # shutdown() wakes it so serve() returns.
+                listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            listener.close()
         with self._lock:
             conns = list(self._conns)
         for conn in conns:
@@ -245,8 +250,8 @@ class RpcServer:
         self._cleanup()
 
     def _cleanup(self):
-        # Unlink on every exit path: serve_forever historically leaked
-        # the bound path, breaking the next bind on the same address.
+        # Unlink on every exit path: a leaked path would break the next
+        # bind on the same address.
         if os.path.exists(self.path):
             try:
                 os.unlink(self.path)
@@ -268,106 +273,25 @@ class RpcServer:
                 pass  # a broken observer must not take the server down
 
 
-def serve_forever(path, handlers, ready_event=None):
-    """Accept loop (runs in the server process) until the listener dies.
-
-    Thin wrapper over :class:`RpcServer` kept for the Table 2 fixtures:
-    stale socket paths are unlinked on bind and the path is removed on
-    exit instead of leaking.
-    """
-    RpcServer(path, handlers).serve(ready_event)
-
-
-class RpcServerProcess:
+class RpcServerProcess(ChildProcess):
     """Forks a child process serving ``handlers`` on a fresh socket path.
 
     ``handlers`` maps method name -> ``fn(bytes) -> bytes`` and must be
-    picklable-free: we fork, so closures are fine.
+    picklable-free: we fork, so closures are fine.  Supervision —
+    readiness, orphan exit, stop and crash-kill — is
+    :class:`~repro.ipc.child.ChildProcess`'s.
     """
 
+    error = RpcTransportError
+
     def __init__(self, handlers):
-        self.path = os.path.join(
-            tempfile.gettempdir(), f"repro-rpc-{uuid.uuid4().hex[:12]}.sock"
-        )
+        super().__init__(label="rpc server", path=socket_path("rpc"))
         self._handlers = handlers
-        self._pid = None
 
-    @property
-    def pid(self):
-        return self._pid
-
-    def start(self):
-        pid = os.fork()
-        if pid == 0:
-            # Child: serve until killed.
-            try:
-                serve_forever(self.path, self._handlers)
-            finally:
-                os._exit(0)
-        self._pid = pid
-        self._wait_for_socket()
-        return self
-
-    def _wait_for_socket(self, timeout=5.0):
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if not self.alive():
-                raise RpcTransportError("server died during startup")
-            if os.path.exists(self.path):
-                try:
-                    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                    probe.connect(self.path)
-                    probe.close()
-                    return
-                except OSError:
-                    pass
-            time.sleep(0.01)
-        raise RpcTransportError("server socket did not appear")
-
-    def alive(self):
-        if self._pid is None:
-            return False
-        try:
-            pid, _status = os.waitpid(self._pid, os.WNOHANG)
-        except ChildProcessError:
-            return False
-        if pid == self._pid:
-            self._pid = None
-            return False
-        return True
-
-    def stop(self):
-        if self._pid is not None:
-            try:
-                os.kill(self._pid, 9)
-                os.waitpid(self._pid, 0)
-            except OSError:
-                pass
-            self._pid = None
-        if os.path.exists(self.path):
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
-
-    def kill(self):
-        """SIGKILL without unlinking the socket path — a *crash*, not a
-        clean stop: the stale path is exactly what a restarted server
-        must cope with (see :meth:`RpcServer.bind`)."""
-        if self._pid is not None:
-            try:
-                os.kill(self._pid, 9)
-                os.waitpid(self._pid, 0)
-            except OSError:
-                pass
-            self._pid = None
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.stop()
-        return False
+    def main(self, channel):
+        server = RpcServer(self.path, self._handlers).bind()
+        channel.ready()
+        server.serve()
 
 
 class RpcClient:

@@ -850,11 +850,13 @@ class _EventLoop(threading.Thread):
             except (KeyError, ValueError, OSError):
                 pass
             conn.mask = 0
+        # Bookkeeping before close: the client may act on EOF at once
+        # (e.g. read live_connections()) and must see this one gone.
+        self.connections.discard(conn)
         try:
             conn.sock.close()
         except OSError:
             pass
-        self.connections.discard(conn)
 
     def _cleanup(self):
         # First thing: stop accepting cross-thread work.  A loop dying

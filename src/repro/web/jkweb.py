@@ -3,13 +3,12 @@
 "The HTTP system servlet forwards each request to the appropriate user
 servlet, each of which runs in its own J-Kernel domain."
 
-Structure (default, the paper's architecture — the bridge reaches the
-trusted system servlet by a plain call, the JNI analogue; pass
-``system_lrmi=True`` for the seed's stricter model where that hop is a
-full LRMI too)::
+Structure (the paper's architecture — the bridge reaches the trusted
+system servlet by a plain call, the JNI analogue, and the one LRMI per
+request is into the user servlet's domain)::
 
     NativeHttpServer ──(extension hook)── IsapiBridge
-        └── trusted call ──> SystemServlet   (domain "http-system")
+        └── trusted call ──> SystemServlet   (kernel code, no domain)
                 └── LRMI ──> user servlet (one domain per servlet)
 
 Servlets are installed, replaced and terminated at run time without
@@ -533,12 +532,9 @@ class JKernelWebServer:
     the configuration Table 5 measures; False routes them through the
     server's domain worker pool so a slow servlet cannot stall a loop.
 
-    ``system_lrmi`` selects the crossing model for bridge → system
-    servlet: False (default, the paper's architecture) treats the system
-    servlet as trusted kernel code reached by a plain call — the JNI
-    analogue — so each request pays exactly one LRMI, into the user
-    servlet's domain; True routes the bridge through the system
-    capability as well, the seed's stricter double-LRMI accounting.
+    The bridge reaches the system servlet by a plain call: it is trusted
+    kernel code (the paper's JNI analogue), so each request pays exactly
+    one LRMI, into the user servlet's domain.
 
     ``workers`` sizes the underlying reactor's event-loop pool when no
     ``server`` is supplied (``JKernelWebServer(workers=4)``); for
@@ -548,7 +544,7 @@ class JKernelWebServer:
     """
 
     def __init__(self, server=None, mount="/servlet", *, workers=None,
-                 bridge_inline=True, system_lrmi=False, drain_timeout=5.0,
+                 bridge_inline=True, drain_timeout=5.0,
                  quotas=None, admission=None):
         if server is None:
             server = (NativeHttpServer(workers=workers)
@@ -580,15 +576,8 @@ class JKernelWebServer:
                 self.admission.attach_quota_manager(self.quota)
             if getattr(server, "admission", None) is None:
                 server.admission = self.admission
-        self.system_domain = Domain("http-system")
         self._system = SystemServlet()
-        self.system_capability = self.system_domain.run(
-            lambda: Capability.create(self._system, label="system-servlet")
-        )
-        self.bridge = IsapiBridge(
-            self.system_capability if system_lrmi else self._system,
-            strip_prefix=mount,
-        )
+        self.bridge = IsapiBridge(self._system, strip_prefix=mount)
         self.server.add_extension(mount, self.bridge.handle,
                                   inline=bridge_inline)
         self._registrations = {}

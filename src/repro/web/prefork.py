@@ -20,12 +20,16 @@ Socket strategy
 Control plane
 -------------
 
-Each worker gets a ``socketpair`` control pipe speaking length-prefixed
-JSON frames (the ``repro.ipc.wire`` framing): ``READY`` on startup,
-``STATS`` polls, ``DRAIN`` for graceful retirement (stop accepting,
-let in-flight requests finish, report final counters, exit) and ``STOP``
-for immediate teardown.  The master's monitor thread detects crashed
-workers with ``waitpid(WNOHANG)`` and forks replacements, and
+Each worker is a :class:`~repro.ipc.child.ChildProcess`, so its fork,
+readiness, orphan exit and reaping are the same as every other child's:
+``start`` returns once the worker reports ``READY`` on its control
+channel (an app factory that raises comes back as a
+:class:`PreforkError` carrying the error), and a worker whose master
+dies exits on EOF of that channel.  Over the same channel the master
+sends ``STATS`` polls, ``DRAIN`` for graceful retirement (stop
+accepting, let in-flight requests finish, report final counters, exit)
+and ``STOP`` for immediate teardown.  The master's monitor thread
+replaces workers that ``alive()`` reports dead, and
 ``rolling_restart()`` hot-swaps the whole fleet one worker at a time —
 each replacement is READY before its predecessor starts draining, so
 the port is always served.
@@ -42,14 +46,12 @@ whichever worker served them.
 
 from __future__ import annotations
 
-import json
 import os
-import signal
 import socket
 import threading
 import time
 
-from repro.ipc.wire import WireError, recv_frame, send_frame
+from repro.ipc.child import ChildProcess
 
 from .httpd import NativeHttpServer, make_listener
 
@@ -61,47 +63,22 @@ class PreforkError(Exception):
     """Master/worker orchestration failure (startup, drain, control)."""
 
 
-def _send_msg(sock, message):
-    try:
-        send_frame(sock, json.dumps(message).encode("utf-8"))
-    except (OSError, WireError) as exc:
-        # A crashed worker's pipe may already be closed (the monitor
-        # closes it when it replaces the worker); callers handle
-        # PreforkError by falling back to the retained last report.
-        raise PreforkError(f"control channel failed: {exc}") from None
-
-
-def _recv_msg(sock, timeout=None, scratch=None):
-    """One JSON control message.  ``scratch`` (a per-channel bytearray)
-    lets the frame fill a preallocated buffer instead of allocating one
-    per poll — the master polls every worker's stats on a timer, so the
-    buffers would otherwise churn steadily for the server's lifetime."""
-    if timeout is not None:
-        sock.settimeout(timeout)
-    try:
-        return json.loads(recv_frame(sock, scratch).decode("utf-8"))
-    except socket.timeout:
-        raise PreforkError("control-channel timeout") from None
-    except (OSError, WireError, ValueError) as exc:
-        raise PreforkError(f"control channel failed: {exc}") from None
-
-
-class WorkerHandle:
+class WorkerHandle(ChildProcess):
     """Master-side record of one worker process."""
 
-    __slots__ = ("pid", "control", "generation", "last_stats", "retiring",
-                 "seq", "_pipe_lock", "_scratch")
+    error = PreforkError
 
-    def __init__(self, pid, control, generation):
-        self.pid = pid
-        self.control = control
+    def __init__(self, server, generation):
+        super().__init__(label=f"prefork worker (generation {generation})")
+        self.server = server
         self.generation = generation
         self.last_stats = {}
         self.retiring = False
         self.seq = 0
         self._pipe_lock = threading.Lock()
-        # recv buffer for this handle's frames, reused under _pipe_lock.
-        self._scratch = bytearray(65536)
+
+    def main(self, channel):
+        self.server._worker_main(channel)
 
     def request(self, message, timeout):
         """One sequence-tagged control round trip.
@@ -115,18 +92,18 @@ class WorkerHandle:
         a rolling restart) from interleaving reads of one frame stream.
         """
         with self._pipe_lock:
+            channel = self.channel
+            if channel is None:
+                raise PreforkError("control channel closed")
             self.seq += 1
-            message = dict(message, seq=self.seq)
-            _send_msg(self.control, message)
+            channel.send(dict(message, seq=self.seq))
             deadline = time.monotonic() + timeout
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise PreforkError("control-channel timeout")
-                reply = _recv_msg(self.control, timeout=remaining,
-                                  scratch=self._scratch)
+                reply = channel.recv(remaining)
                 if reply.get("seq") == self.seq:
-                    self.control.settimeout(None)
                     return reply
                 # stale reply from a timed-out earlier request: discard
 
@@ -145,8 +122,8 @@ class PreforkServer:
     """
 
     def __init__(self, app_factory=None, *, host="127.0.0.1", port=0,
-                 workers=2, reuse_port=None, ready_timeout=15.0,
-                 drain_timeout=5.0, max_respawns=8):
+                 workers=2, reuse_port=None, drain_timeout=5.0,
+                 max_respawns=8):
         self.app_factory = app_factory or NativeHttpServer
         self.host = host
         self.port = port
@@ -154,7 +131,6 @@ class PreforkServer:
         if reuse_port is None:
             reuse_port = hasattr(socket, "SO_REUSEPORT")
         self.reuse_port = reuse_port
-        self.ready_timeout = ready_timeout
         self.drain_timeout = drain_timeout
         self.max_respawns = max_respawns
 
@@ -232,70 +208,23 @@ class PreforkServer:
     # -- spawning ----------------------------------------------------------
     def _spawn(self):
         """Fork one worker; returns its handle once the worker is READY."""
-        parent_side, child_side = socket.socketpair()
         self._generation += 1
-        generation = self._generation
-        pid = os.fork()
-        if pid == 0:
-            # -- child ----------------------------------------------------
-            parent_side.close()
-            status = 1
-            try:
-                self._worker_main(child_side)
-                status = 0
-            except BaseException:
-                try:
-                    _send_msg(child_side, {"type": "ERROR"})
-                except Exception:
-                    pass
-            finally:
-                os._exit(status)
-        # -- parent -------------------------------------------------------
-        child_side.close()
-        handle = WorkerHandle(pid, parent_side, generation)
-        try:
-            ready = _recv_msg(parent_side, timeout=self.ready_timeout)
-        except PreforkError:
-            # A wedged child (e.g. a fork-inherited lock) would leak —
-            # and, in reuse-port mode, could later bind the port as an
-            # unsupervised orphan.  Reap it before propagating.
-            self._kill(handle)
-            raise
-        if ready.get("type") != "READY":
-            self._kill(handle)
-            raise PreforkError(
-                f"worker {pid} failed to start: {ready!r}"
-            )
-        parent_side.settimeout(None)
-        return handle
+        return WorkerHandle(self, self._generation).start()
 
-    def _worker_main(self, control):
-        """Child body: build the app, serve, obey the control pipe."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        # Drop the master-side control fds of sibling workers inherited
-        # across fork: a sibling holding a copy would keep another
-        # worker's control channel open after the master dies, defeating
-        # the EOF-means-orphaned teardown below.
-        for handle in self._handles:
-            try:
-                handle.control.close()
-            except OSError:
-                pass
-        self._handles = []
+    def _worker_main(self, channel):
+        """Child body: build the app, serve, obey the control channel."""
         if self.reuse_port:
             listener = make_listener(self.host, self.port, reuse_port=True)
         else:
             listener = self._listener
         server = self.app_factory()
         server.start(listener)
-        _send_msg(control, {"type": "READY", "pid": os.getpid(),
-                            "port": self.port})
-        scratch = bytearray(65536)
+        channel.ready()
         while True:
             try:
-                message = _recv_msg(control, scratch=scratch)
+                message = channel.recv()
             except PreforkError:
-                # Master died (EOF on the pipe): orphaned workers must
+                # Master died (EOF on the channel): orphaned workers must
                 # not linger and keep the port bound.
                 server.stop()
                 return
@@ -309,20 +238,19 @@ class PreforkServer:
                 if kind in ("STATS", "PING"):
                     _chaos.crash_point("prefork.worker.stats")
             if kind in ("STATS", "PING"):
-                _send_msg(control, dict(self._worker_stats(server),
-                                        seq=seq))
+                channel.send(dict(self._worker_stats(server), seq=seq))
             elif kind == "DRAIN":
                 server.drain(message.get("timeout", 5.0))
                 final = self._worker_stats(server)
                 final.update(type="DRAINED", seq=seq)
                 server.stop()
-                _send_msg(control, final)
+                channel.send(final)
                 return
             elif kind == "STOP":
                 final = self._worker_stats(server)
                 final.update(type="STOPPED", seq=seq)
                 server.stop()
-                _send_msg(control, final)
+                channel.send(final)
                 return
 
     @staticmethod
@@ -355,16 +283,13 @@ class PreforkServer:
                 for handle in list(self._handles):
                     if handle.retiring or handle not in self._handles:
                         continue
-                    if not self._dead(handle):
+                    if handle.alive():
                         continue
                     # Crashed: retain what it last reported, replace it.
                     self._retired_requests += handle.last_stats.get(
                         "requests_served", 0
                     )
-                    try:
-                        handle.control.close()
-                    except OSError:
-                        pass
+                    handle.stop()
                     if (not self._running
                             or self._crash_replacements >= self.max_respawns):
                         self._handles.remove(handle)
@@ -379,14 +304,6 @@ class PreforkServer:
                     # index would overwrite a live sibling's handle.
                     self._handles[self._handles.index(handle)] = replacement
                     self._crash_replacements += 1
-
-    @staticmethod
-    def _dead(handle):
-        try:
-            pid, _status = os.waitpid(handle.pid, os.WNOHANG)
-        except ChildProcessError:
-            return True
-        return pid == handle.pid
 
     # -- autoscaling -------------------------------------------------------
     def scale_to(self, target):
@@ -467,27 +384,7 @@ class PreforkServer:
                     "requests_served", 0
                 )
         finally:
-            self._kill(handle)
-
-    def _kill(self, handle, wait=2.0):
-        try:
-            handle.control.close()
-        except OSError:
-            pass
-        deadline = time.monotonic() + wait
-        while time.monotonic() < deadline:
-            try:
-                pid, _status = os.waitpid(handle.pid, os.WNOHANG)
-            except ChildProcessError:
-                return
-            if pid == handle.pid:
-                return
-            time.sleep(0.01)
-        try:
-            os.kill(handle.pid, signal.SIGKILL)
-            os.waitpid(handle.pid, 0)
-        except OSError:
-            pass
+            handle.stop()
 
     def _teardown_workers(self, graceful):
         with self._lock:
@@ -503,7 +400,7 @@ class PreforkServer:
                     self._retired_requests += handle.last_stats.get(
                         "requests_served", 0
                     )
-            self._kill(handle)
+            handle.stop()
 
     # -- introspection -----------------------------------------------------
     def worker_pids(self):

@@ -1,8 +1,9 @@
 """Fleet-suite fixtures: a servlet registry and coordinator factory.
 
 Coordinators and host processes are always torn down, even on assertion
-failure — a leaked agent process would outlive the test run (the agents
-carry an orphan watchdog, but only against *parent* death).
+failure.  An agent exits by itself only when the process that started
+it dies (EOF on its control channel), so a leaked agent would otherwise
+outlive the test that made it.
 """
 
 import time

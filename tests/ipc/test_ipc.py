@@ -169,22 +169,25 @@ class TestNtRpcInProcess:
             worker.join(5.0)
         assert not worker.is_alive()
 
-    def test_serve_forever_in_thread(self, tmp_path):
+    def test_rpc_server_serves_in_thread(self, tmp_path):
         import uuid
 
-        from repro.ipc.ntrpc import serve_forever
+        from repro.ipc.ntrpc import RpcServer
 
         path = str(tmp_path / f"rpc-{uuid.uuid4().hex[:8]}.sock")
+        server = RpcServer(path, {"null": lambda payload: b""})
         ready = threading.Event()
-        thread = threading.Thread(
-            target=serve_forever,
-            args=(path, {"null": lambda payload: b""}, ready),
-            daemon=True,
-        )
+        thread = threading.Thread(target=server.serve, args=(ready,),
+                                  daemon=True)
         thread.start()
-        assert ready.wait(5.0)
-        with RpcClient(path) as client:
-            assert client.call("null") == b""
+        try:
+            assert ready.wait(5.0)
+            with RpcClient(path) as client:
+                assert client.call("null") == b""
+        finally:
+            server.stop()
+            thread.join(5.0)
+        assert not thread.is_alive()
 
 
 _CALC = ComInterface("ICalc", ["add", "concat", "null_op"])

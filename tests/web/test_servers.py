@@ -357,21 +357,6 @@ class TestSealedServletSemantics:
         assert close_variant is not first
         assert b"Connection: close" in close_variant
 
-    def test_system_lrmi_compat_mode(self, iis):
-        jk = JKernelWebServer(server=iis, mount="/servlet2",
-                              system_lrmi=True)
-        jk.install_servlet("/hello", HelloServlet)
-        try:
-            response = fetch_once("127.0.0.1", iis.port,
-                                  "/servlet2/hello")
-            assert response.status == 200
-            assert response.body == b"hello /hello"
-            # the bridge->system hop is a real LRMI in this mode
-            assert jk.system_domain.stats["lrmi_calls_in"] >= 1
-        finally:
-            for prefix in list(jk.registrations()):
-                jk.terminate_servlet(prefix)
-
     def test_per_domain_request_accounting(self, iis, jk):
         jk.install_servlet("/acct", HelloServlet)
         registration = jk.registrations()["/acct"]
