@@ -216,6 +216,21 @@ def _walk_state():
     return stack, cut, imported
 
 
+def check_chain(domains, permission):
+    """The chain intersection both stack walks share: raise
+    :class:`AccessDeniedError` naming the first of ``domains`` that does
+    not imply ``permission``.  ``None`` entries and domains without an
+    installed policy never deny."""
+    for domain in domains:
+        permissions = getattr(domain, "permissions", None)
+        if permissions is not None and not permissions.implies(permission):
+            raise AccessDeniedError(
+                f"domain {domain.name!r} lacks permission {permission}",
+                permission=str(permission),
+                domain=domain.name,
+            )
+
+
 def check_permission(permission):
     """Raise :class:`AccessDeniedError` unless every domain on the
     effective call chain implies ``permission``.
@@ -226,15 +241,9 @@ def check_permission(permission):
     if not isinstance(permission, Permission):
         permission = Permission.parse(permission)
     stack, cut, imported = _walk_state()
-    for index in range(len(stack) - 1, cut - 1, -1):
-        domain = stack[index].domain
-        permissions = getattr(domain, "permissions", None)
-        if permissions is not None and not permissions.implies(permission):
-            raise AccessDeniedError(
-                f"domain {domain.name!r} lacks permission {permission}",
-                permission=str(permission),
-                domain=domain.name,
-            )
+    check_chain([stack[index].domain
+                 for index in range(len(stack) - 1, cut - 1, -1)],
+                permission)
     for group in imported:
         for permission_set in group:
             if not permission_set.implies(permission):

@@ -16,6 +16,7 @@ from .com import (
 )
 from .lrmi import (
     DomainClient,
+    DomainDeadlineError,
     DomainHostProcess,
     ExportTable,
     ProtocolError,
@@ -43,6 +44,7 @@ __all__ = [
     "ComInterface",
     "ComRegistry",
     "DomainClient",
+    "DomainDeadlineError",
     "DomainHostProcess",
     "ExportTable",
     "IN_PROC",

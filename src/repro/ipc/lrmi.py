@@ -21,9 +21,10 @@ Architecture
   :class:`~repro.ipc.child.ChildProcess`: it reports READY once it is
   listening and exits on EOF of its control channel when its parent
   dies; its sweeper only sweeps revoked exports.
-* :class:`DomainClient` — the parent-side peer: a small pool of
-  connections, ``lookup(name)`` returning remote-capability proxies, and
-  kernel control verbs (``revoke``/``terminate``/``stats``/``shutdown``).
+* :class:`DomainClient` — the parent-side peer on the pooled call core
+  (:mod:`repro.ipc.pool`): ``lookup(name)`` returning remote-capability
+  proxies, and kernel control verbs
+  (``revoke``/``terminate``/``stats``/``shutdown``).
 * Proxies — per-method generated classes (mirroring the in-process stub
   generator): each method marshals the call and re-raises the callee's
   exception in the caller's process.  Capabilities inside
@@ -75,8 +76,9 @@ buffered receive.  Set ``JK_LRMI_WIRE=generic`` (or flip
 path — the differential matrix runs over both.
 
 A dead host surfaces as :class:`DomainUnavailableException` (a
-``RemoteException`` subclass the web layer maps to a retryable 503),
-never as a hang: every *client-side* wire operation runs under a socket
+``RemoteException`` subclass the web layer maps to a retryable 503; an
+expired deadline as its :class:`DomainDeadlineError` subclass), never
+as a hang: every *client-side* wire operation runs under a socket
 timeout, and host-side broadcasts are non-blocking (a peer that stops
 reading is closed, not waited on).  Host serving threads block reading
 idle connections by design — they are daemons of a disposable process.
@@ -87,7 +89,6 @@ from __future__ import annotations
 import itertools
 import keyword as _keyword
 import os
-import select
 import socket
 import struct
 import threading
@@ -114,6 +115,7 @@ from repro.core.remote import is_remote_interface
 from repro.core.serial import ObjectReader, ObjectWriter, dumps, loads
 
 from .child import ChildProcess, socket_path
+from .pool import PooledClient, arm
 from .shm import GRANT, BulkRing, RingError
 from .wire import (
     MAX_FRAME,
@@ -173,12 +175,6 @@ _INT_REPLY_FRAME = struct.Struct(">IBIBBq")    # 15, op, id, fmt, T_INT64, v
 # One-shot header decode for buffered receive: length, opcode, call id.
 _HDR9 = struct.Struct(">IBI")
 
-#: A pooled connection released within this many seconds skips the
-#: checkout health probe: the probe is a freshness snapshot anyway (see
-#: the TOCTOU note on DomainClient), and probing a socket that was alive
-#: microseconds ago spends a syscall to learn nothing.
-PROBE_FRESH_S = 0.005
-
 #: Payloads at/over this many bytes ride the shared-memory bulk ring
 #: instead of the socket (read at send time, so tests can retune it).
 #: The crossover is empirical: below it, one scatter-gather ``sendmsg``
@@ -198,10 +194,6 @@ RING_SIZE = int(os.environ.get("JK_LRMI_RING_SIZE", str(1 << 20)))
 #: runs its whole matrix both ways.
 COMPILED_WIRE = os.environ.get("JK_LRMI_WIRE", "compiled") != "generic"
 
-#: Default per-operation wire timeout: generous enough for a slow
-#: servlet, small enough that a wedged host cannot hang its callers.
-CALL_TIMEOUT = 30.0
-
 #: How often the host sweeps its export table for revoked capabilities.
 SWEEP_INTERVAL = 0.02
 
@@ -211,6 +203,11 @@ IDEMPOTENT_CONTROL = frozenset({"lookup", "stats", "ping"})
 
 #: Fault-injection hook (``repro.testing.chaos``); None in production.
 _chaos = None
+
+
+class DomainDeadlineError(DomainUnavailableException):
+    """A cross-process call's whole-call deadline expired.  Never retried:
+    the time is spent, and a replay could execute the call twice."""
 
 
 class ProtocolError(JKernelError):
@@ -640,7 +637,6 @@ class _Connection:
         self._send_lock = threading.Lock()
         self._call_ids = itertools.count(1).__next__
         self.closed = False
-        self.last_released = 0.0  # pool-release stamp (probe freshness)
         # Outbound frame assembly: one long-lived writer bound to one
         # reusable buffer; the capability side table is rebuilt per
         # frame.  The writer's buffer/memo/table are managed here
@@ -978,12 +974,7 @@ class _Connection:
     # -- caller side -------------------------------------------------------
     def call(self, opcode, request, deadline=None):
         """One synchronous round trip; serves nested work while waiting.
-
-        ``deadline`` (a ``time.monotonic`` instant) bounds the WHOLE
-        round trip, not just each socket operation: a host that drips
-        broadcast frames fast enough to keep every individual recv
-        under the socket timeout still cannot hold the caller past it.
-        """
+        ``deadline`` (a ``time.monotonic`` instant) bounds all of it."""
         call_id = self._call_ids()
         return self._round(
             lambda: self._send_value(opcode, call_id, request),
@@ -1021,50 +1012,29 @@ class _Connection:
         return self._round(send, call_id, deadline)
 
     def _round(self, send, call_id, deadline):
-        base_timeout = self.sock.gettimeout()
+        # The pool's release restores the socket timeout arm() lowered.
         try:
-            self._apply_deadline(deadline, base_timeout)
+            arm(self.sock, deadline)
             send()
-            return self._await(call_id, deadline, base_timeout)
+            return self._await(call_id, deadline)
         except socket.timeout as exc:
-            raise self._transport_error(exc, timed_out=True) from None
+            raise self._transport_error(exc, DomainDeadlineError) from None
         except (OSError, WireError) as exc:
-            raise self._transport_error(exc, timed_out=False) from None
+            raise self._transport_error(
+                exc, DomainUnavailableException) from None
         except ProtocolError:
             # A local parse failure means the stream may be desynced;
             # the connection cannot be trusted for another frame.
             self.close()
             raise
-        finally:
-            if deadline is not None and not self.closed:
-                try:
-                    self.sock.settimeout(base_timeout)
-                except OSError:
-                    pass
 
-    def _transport_error(self, exc, timed_out):
+    def _transport_error(self, exc, error_type):
         self.close()
-        error = DomainUnavailableException(
-            f"out-of-process domain unreachable: {exc}"
-        )
-        # Checkout-retry discriminator (see DomainClient._exchange): a
-        # deadline expiry must never be retried — the time is spent —
-        # while a connection reset on a pooled socket is the TOCTOU race.
-        error.timed_out = timed_out
-        return error
+        return error_type(f"out-of-process domain unreachable: {exc}")
 
-    def _apply_deadline(self, deadline, base_timeout):
-        if deadline is None:
-            return
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise socket.timeout("call deadline exceeded")
-        if base_timeout is None or remaining < base_timeout:
-            self.sock.settimeout(remaining)
-
-    def _await(self, call_id, deadline=None, base_timeout=None):
+    def _await(self, call_id, deadline=None):
         while True:
-            self._apply_deadline(deadline, base_timeout)
+            arm(self.sock, deadline)
             opcode, reply_id, payload = self._recv()
             if opcode == OP_REVOKED:
                 self.peer.mark_revoked(loads(payload))
@@ -1493,181 +1463,49 @@ class DomainHostProcess(ChildProcess):
 
 # -- the client ---------------------------------------------------------------
 
-class DomainClient(_Peer):
-    """Parent-side peer: pooled connections to one domain host.
-
-    Robustness knobs (all off by default, preserving PR-5 behaviour):
-
-    * ``call_deadline`` — seconds bounding each whole round trip; on
-      expiry the call raises :class:`DomainUnavailableException`
-      instead of waiting out per-recv socket timeouts one by one.
-    * ``retries``/``backoff`` — bounded retry with exponential backoff
-      after a transport failure, applied ONLY to idempotent work:
-      control verbs in :data:`IDEMPOTENT_CONTROL` and methods the
-      caller declared via ``idempotent=``.  Each attempt acquires a
-      fresh connection (the failed one was closed by the error path).
-
-    Independent of both knobs, a transport failure on a REUSED pooled
-    connection gets one immediate retry on a fresh dial: the checkout
-    health probe (select + ``MSG_PEEK``) is a snapshot, and a host that
-    restarted between probe and send leaves a socket that probes healthy
-    but RSTs on use — the same TOCTOU race fixed for ``ntrpc.RpcClient``
-    in PR 7.  A fresh dial either reaches the live (new) host or fails
-    honestly; deadline expiries are never retried (the time is spent),
-    and a call that went out on a FRESH dial failed against current
-    state, so it surfaces immediately.
+class DomainClient(PooledClient, _Peer):
+    """Parent-side peer: pooled connections to one domain host, on the
+    call core shared with ntrpc (:mod:`repro.ipc.pool`): checkout probe,
+    whole-call ``call_deadline`` (expiry raises
+    :class:`DomainDeadlineError`), fresh-dial retry on a reused
+    connection, and ``retries``/``backoff`` applied ONLY to idempotent
+    work — control verbs in :data:`IDEMPOTENT_CONTROL` and methods the
+    caller declared via ``idempotent=``.
     """
 
-    def __init__(self, path, timeout=CALL_TIMEOUT, pool_size=4, *,
-                 call_deadline=None, retries=0, backoff=0.05,
+    #: A readable idle connection holding data is healthy: it is a
+    #: revocation broadcast queued while it sat in the pool, which the
+    #: next ``_await`` consumes.  Only EOF evicts.
+    IDLE_BYTES_OK = True
+    Unavailable = DomainUnavailableException
+    Deadline = DomainDeadlineError
+    PEER = "domain host"
+
+    def __init__(self, path, *, call_deadline=None, retries=0, backoff=0.05,
                  idempotent=()):
-        super().__init__()
-        self.path = path
-        self.timeout = timeout
-        self.pool_size = pool_size
-        self.call_deadline = call_deadline
-        self.retries = retries
-        self.backoff = backoff
+        PooledClient.__init__(self, path, call_deadline, retries, backoff)
+        _Peer.__init__(self)
         self._idempotent = frozenset(idempotent)
-        self._free = []
-        self._pool_lock = threading.Lock()
-        self._closed = False
-        self._evicted = 0
 
-    # -- connection pool ---------------------------------------------------
-    def _connect(self):
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        try:
-            sock.connect(self.path)
-        except OSError as exc:
-            sock.close()
-            raise DomainUnavailableException(
-                f"cannot reach domain host at {self.path}: {exc}"
-            ) from None
+    def _wrap(self, sock):
         return _Connection(sock, self)
-
-    @staticmethod
-    def _healthy(connection):
-        """Checkout validation for a pooled idle connection.
-
-        A dead peer shows up as a readable socket whose peek returns
-        b"" (EOF).  A readable socket with pending *data* is healthy:
-        it is a revocation broadcast queued while the connection sat
-        in the pool, which the next ``_await`` loop consumes normally.
-        """
-        sock = connection.sock
-        try:
-            readable, _, _ = select.select([sock], [], [], 0)
-            if not readable:
-                return True
-            return bool(sock.recv(1, socket.MSG_PEEK))
-        except (OSError, ValueError):
-            return False
-
-    def _acquire(self):
-        """Checkout: ``(connection, reused)`` — reused means it came out
-        of the pool, so its health probe is subject to the TOCTOU race."""
-        if self._closed:
-            raise DomainUnavailableException("domain client closed")
-        while True:
-            with self._pool_lock:
-                if not self._free:
-                    break
-                connection = self._free.pop()
-            # A connection released moments ago skips the probe: back-
-            # to-back calls on a hot pool would pay a select() each to
-            # re-learn what the last call just proved, and the fresh-
-            # dial retry in _exchange covers the (already racy) window
-            # the probe would have covered.
-            if (time.monotonic() - connection.last_released < PROBE_FRESH_S
-                    or self._healthy(connection)):
-                return connection, True
-            with self._pool_lock:
-                self._evicted += 1
-            connection.close()
-        return self._connect(), False
-
-    @property
-    def evicted(self):
-        """Half-dead pooled connections dropped at checkout (for tests)."""
-        with self._pool_lock:
-            return self._evicted
-
-    def _release(self, connection):
-        if connection.closed:
-            return
-        connection.last_released = time.monotonic()
-        with self._pool_lock:
-            if not self._closed and len(self._free) < self.pool_size:
-                self._free.append(connection)
-                return
-        connection.close()
-
-    def _exchange(self, connection, reused, deadline, invoke):
-        """One call over a checked-out connection, with the one-shot
-        fresh-dial retry closing the pooled-socket TOCTOU window.  Only
-        a non-timeout transport failure on a REUSED connection retries,
-        and only while the deadline (if any) has time left."""
-        try:
-            try:
-                return invoke(connection)
-            except DomainUnavailableException as exc:
-                if not reused or getattr(exc, "timed_out", True):
-                    raise
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-                connection = self._connect()
-                return invoke(connection)
-        finally:
-            self._release(connection)
-
-    def _deadline(self):
-        if self.call_deadline is None:
-            return None
-        return time.monotonic() + self.call_deadline
-
-    def _round_trip(self, opcode, request, retry=False):
-        deadline = self._deadline()
-        attempts = 1 + (self.retries if retry else 0)
-        delay = self.backoff
-        for attempt in range(attempts):
-            try:
-                # _acquire is inside the retry: during a host outage the
-                # failure IS the dial (connection refused), and retrying
-                # only the round trip would never bridge a restart.
-                connection, reused = self._acquire()
-                return self._exchange(
-                    connection, reused, deadline,
-                    lambda conn: conn.call(opcode, request,
-                                           deadline=deadline),
-                )
-            except DomainUnavailableException:
-                if attempt + 1 >= attempts or self._closed:
-                    raise
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-                time.sleep(min(delay, 1.0))
-                delay *= 2
 
     # -- peer interface ----------------------------------------------------
     def call(self, export_id, method, args, kwargs):
-        return self._round_trip(
-            OP_CALL, _call_envelope(export_id, method, args, kwargs),
+        request = _call_envelope(export_id, method, args, kwargs)
+        return self._call(
+            lambda conn, deadline: conn.call(OP_CALL, request, deadline),
             retry=method in self._idempotent,
         )
 
     def call_fast(self, export_id, method_index, method, args):
         # Idempotent-declared methods keep the generic path: its retry
-        # loop is keyed on the method name.
+        # is keyed on the method name.
         if not COMPILED_WIRE or method in self._idempotent:
             return self.call(export_id, method, args, {})
-        deadline = self._deadline()
-        connection, reused = self._acquire()
-        return self._exchange(
-            connection, reused, deadline,
-            lambda conn: conn.call_fast(export_id, method_index, args,
-                                        deadline=deadline),
+        return self._call(
+            lambda conn, deadline: conn.call_fast(export_id, method_index,
+                                                  args, deadline),
         )
 
     def call_streamed(self, export_id, method, args, fd, *, on_grant=None):
@@ -1682,18 +1520,20 @@ class DomainClient(_Peer):
         complete frame, so the fd was never written and the caller may
         fall back to an ordinary marshalled reply.
         """
-        deadline = self._deadline()
-        connection, _reused = self._acquire()
+        deadline = self._deadline_at()
+        connection, _reused = self._checkout()
         try:
             return connection.call_streamed(export_id, method, args, fd,
                                             deadline=deadline,
                                             on_sent=on_grant)
         finally:
-            self._release(connection)
+            self._release(connection, deadline)
 
     def control(self, verb, *args):
-        return self._round_trip(
-            OP_CONTROL, (verb, args), retry=verb in IDEMPOTENT_CONTROL,
+        return self._call(
+            lambda conn, deadline: conn.call(OP_CONTROL, (verb, args),
+                                             deadline),
+            retry=verb in IDEMPOTENT_CONTROL,
         )
 
     # -- convenience -------------------------------------------------------
@@ -1714,23 +1554,8 @@ class DomainClient(_Peer):
         return self.control("terminate", name)
 
     def close(self):
-        with self._pool_lock:
-            self._closed = True
-            connections, self._free = self._free, []
-        for connection in connections:
-            try:
-                connection._send(OP_BYE, 0, b"")
-            except (OSError, WireError):
-                pass
-            connection.close()
+        PooledClient.close(self)
         self.close_regions()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
 
 
 def connect(host, **kwargs):

@@ -6,8 +6,7 @@ call crosses a genuine process boundary twice — the cost the paper's
 Table 2 contrasts with in-process calls (a factor of ~3000).
 
 Beyond the Table 2 microbenchmark, this transport is what the fleet
-coordinator (``repro.fleet``) speaks to remote hosts, so it carries the
-same hardening the cross-process LRMI client grew in PR 6:
+coordinator (``repro.fleet``) speaks to remote hosts:
 
 * **typed errors** — every failure surfaces as an :class:`RpcError`
   subclass: :class:`RpcTransportError` (dial/framing/connection loss),
@@ -15,15 +14,9 @@ same hardening the cross-process LRMI client grew in PR 6:
   :class:`RpcMethodNotFound` and :class:`RpcHandlerError` (the remote
   handler raised).  Nothing is silently swallowed: the server counts and
   reports transport failures instead of ``pass``-ing them.
-* **per-call deadlines** — ``call_deadline=`` (or a per-call
-  ``deadline=``) bounds the whole round trip; expiry raises
-  :class:`RpcDeadlineError`, never a hang.
-* **checkout health + bounded retry** — the client re-validates its
-  pooled socket before each call (EOF or unexpected bytes on an idle
-  strict request/reply connection mean the peer died) and, when
-  configured, retries transport failures with exponential backoff —
-  the same machinery :class:`repro.ipc.lrmi.DomainClient` uses to
-  bridge host respawns.
+* **pooled client** — :class:`RpcClient` runs on the call core it shares
+  with the cross-process LRMI client (:mod:`repro.ipc.pool`): checkout
+  probe, whole-call deadlines, fresh-dial and backoff retry.
 * **heartbeat liveness** — every server answers :data:`PING_METHOD`
   (``__ping__``) from the serve loop itself, so a ping proves the
   dispatch path is alive, not merely that the process holds the socket.
@@ -47,12 +40,11 @@ Fault injection: the chaos harness (``repro.testing.chaos``) installs
 from __future__ import annotations
 
 import os
-import select
 import socket
 import threading
-import time
 
 from .child import ChildProcess, socket_path
+from .pool import PooledClient, arm
 from .wire import MAX_FRAME, WireError, recv_exact, recv_frame, send_frame
 
 _OK = 0
@@ -64,10 +56,6 @@ _KIND_UNKNOWN = b"unknown"
 
 #: Reserved liveness method every :class:`RpcServer` answers itself.
 PING_METHOD = "__ping__"
-
-#: Default per-socket-operation timeout: generous enough for a loaded
-#: host, small enough that a wedged peer cannot hang its callers.
-CALL_TIMEOUT = 30.0
 
 #: Fault-injection hook (``repro.testing.chaos``); None in production.
 _chaos = None
@@ -294,82 +282,35 @@ class RpcServerProcess(ChildProcess):
         server.serve()
 
 
-class RpcClient:
-    """Synchronous client for one server socket.
+class RpcClient(PooledClient):
+    """Synchronous client for one server socket, on the shared pooled
+    call core (:mod:`repro.ipc.pool`): checkout probe, whole-call
+    ``call_deadline``, fresh-dial retry and ``retries``/``backoff``.
 
-    Robustness knobs (all off by default, preserving the Table 2 path):
-
-    * ``call_deadline`` — seconds bounding each whole round trip;
-      expiry raises :class:`RpcDeadlineError`.
-    * ``retries``/``backoff`` — bounded exponential-backoff retry after
-      a transport failure.  ntrpc is strict request/reply, so a retried
-      request may execute twice on the server — enable only for
-      idempotent method sets (the fleet control verbs are).
-    * ``endpoint``/``remote_endpoint`` — names for the chaos harness's
-      partition model; unnamed clients are never partitioned.
+    Every method is treated as idempotent for ``retries``: ntrpc is
+    strict request/reply, so a retried request may execute twice on the
+    server — enable only for idempotent method sets (the fleet control
+    verbs are).  ``endpoint``/``remote_endpoint`` name the two ends for
+    the chaos harness's partition model; unnamed clients are never
+    partitioned.
     """
 
-    def __init__(self, path, *, timeout=CALL_TIMEOUT, call_deadline=None,
-                 retries=0, backoff=0.05, endpoint=None,
-                 remote_endpoint=None):
-        if call_deadline is not None and call_deadline <= 0:
-            raise ValueError("call_deadline must be positive or None")
-        self.path = path
-        self.timeout = timeout
-        self.call_deadline = call_deadline
-        self.retries = retries
-        self.backoff = backoff
+    #: Strict request/reply: bytes on an idle connection break protocol.
+    IDLE_BYTES_OK = False
+    Unavailable = RpcTransportError
+    Deadline = RpcDeadlineError
+    PEER = "rpc server"
+
+    def __init__(self, path, *, call_deadline=None, retries=0,
+                 backoff=0.05, endpoint=None, remote_endpoint=None):
+        super().__init__(path, call_deadline, retries, backoff)
         self.endpoint = endpoint
         self.remote_endpoint = remote_endpoint
-        self._sock = None
-        self._lock = threading.Lock()
 
     def connect(self):
-        self._sock = self._dial()
+        """Dial eagerly, so an unreachable server fails here."""
+        self._release(self._dial())
         return self
-
-    def _dial(self):
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self.timeout)
-        try:
-            sock.connect(self.path)
-        except OSError as exc:
-            sock.close()
-            raise RpcTransportError(
-                f"cannot reach rpc server at {self.path}: {exc}"
-            ) from None
-        return sock
-
-    def _checkout(self):
-        """Validate the pooled socket before use (DomainClient-style).
-
-        ntrpc is strict request/reply: an idle connection must have
-        nothing to read.  Readable means the peer died (EOF) or broke
-        protocol — either way the socket is dropped and redialed.
-        Returns ``(sock, reused)``; ``reused`` marks a pooled socket,
-        whose validation is only a snapshot (see :meth:`_once`).
-        """
-        sock = self._sock
-        if sock is None:
-            sock = self._sock = self._dial()
-            return sock, False
-        try:
-            readable, _, _ = select.select([sock], [], [], 0)
-            if readable:
-                self._drop()
-                return self._checkout()
-        except (OSError, ValueError):
-            self._drop()
-            return self._checkout()
-        return sock, True
-
-    def _drop(self):
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
 
     def _check_chaos(self, method):
         if _chaos is None:
@@ -389,118 +330,55 @@ class RpcClient:
                 )
 
     @staticmethod
-    def _remaining(deadline_at):
-        if deadline_at is None:
-            return None
-        remaining = deadline_at - time.monotonic()
-        if remaining <= 0:
-            raise RpcDeadlineError("call deadline exceeded")
-        return remaining
-
-    def _apply_deadline(self, sock, deadline_at):
-        remaining = self._remaining(deadline_at)
-        if remaining is None:
-            sock.settimeout(self.timeout)
-        elif self.timeout is None or remaining < self.timeout:
-            sock.settimeout(remaining)
-        else:
-            sock.settimeout(self.timeout)
-
-    def _once(self, method, payload, deadline_at):
-        self._check_chaos(method)
-        sock, reused = self._checkout()
+    def _exchange(connection, deadline_at, method, frame):
+        sock = connection.sock
         try:
-            return self._exchange(sock, method, payload, deadline_at)
-        except RpcTransportError:
-            if not reused:
-                raise
-            # The select() probe in _checkout is only a snapshot: a
-            # peer that died just before this call can pass it and
-            # reset the socket mid-exchange.  Like an HTTP keep-alive
-            # client, a request that failed on a REUSED connection is
-            # retried once on a fresh dial — independent of the
-            # ``retries`` knob, still inside the deadline.
-            self._remaining(deadline_at)
-            sock, _ = self._checkout()  # _drop() ran: dials fresh
-            return self._exchange(sock, method, payload, deadline_at)
-
-    def _exchange(self, sock, method, payload, deadline_at):
-        try:
-            self._apply_deadline(sock, deadline_at)
-            send_frame(sock, method.encode("utf-8") + b"\x00" + payload)
-            self._apply_deadline(sock, deadline_at)
+            arm(sock, deadline_at)
+            send_frame(sock, frame)
+            arm(sock, deadline_at)
             reply = recv_frame(sock)
         except socket.timeout:
-            self._drop()
+            connection.close()
             raise RpcDeadlineError(
                 f"call {method!r} exceeded its deadline") from None
-        except RpcDeadlineError:
-            self._drop()
-            raise
         except (OSError, WireError) as exc:
-            self._drop()
+            connection.close()
             raise RpcTransportError(
                 f"transport failed calling {method!r}: {exc}") from None
-        return self._decode(reply)
-
-    @staticmethod
-    def _decode(reply):
         if reply[:1] == bytes([_OK]):
             return reply[1:]
         kind, _, detail = reply[1:].partition(b"\x00")
         text = detail.decode("utf-8", "replace")
         if kind == _KIND_UNKNOWN:
             raise RpcMethodNotFound(text)
-        return RpcClient._raise_handler_error(text)
-
-    @staticmethod
-    def _raise_handler_error(text):
         raise RpcHandlerError(text)
 
     def call(self, method, payload=b"", *, deadline=None):
         """One round trip; the reply body on success, typed errors else.
 
         ``deadline`` (seconds) overrides the client's ``call_deadline``
-        for this call.  Transport failures retry up to ``retries`` times
-        with exponential backoff — each attempt redials, so retries
-        bridge a server restart — but never past the deadline, and a
-        deadline expiry itself is terminal.
+        for this call.
         """
-        limit = deadline if deadline is not None else self.call_deadline
-        deadline_at = (time.monotonic() + limit
-                       if limit is not None else None)
-        delay = self.backoff
-        with self._lock:
-            for attempt in range(1 + self.retries):
-                try:
-                    return self._once(method, payload, deadline_at)
-                except RpcDeadlineError:
-                    raise
-                except RpcTransportError:
-                    if attempt >= self.retries:
-                        raise
-                    if deadline_at is not None:
-                        remaining = deadline_at - time.monotonic()
-                        if remaining <= 0:
-                            raise
-                        time.sleep(min(delay, remaining, 1.0))
-                    else:
-                        time.sleep(min(delay, 1.0))
-                    delay *= 2
+        frame = method.encode("utf-8") + b"\x00" + payload
+
+        def invoke(connection, deadline_at):
+            self._check_chaos(method)
+            return self._exchange(connection, deadline_at, method, frame)
+
+        return self._call(invoke, deadline, retry=True)
 
     def ping(self, *, deadline=None):
         """Heartbeat round trip; True when the serve loop answered."""
         return self.call(PING_METHOD, deadline=deadline) == b"pong"
 
     def close(self):
-        self._drop()
+        """Drop the pooled connections.  Unlike a closed DomainClient,
+        the client stays usable and the next call dials afresh: the
+        fleet coordinator still reaches an evicted host through it."""
+        self._drain()
 
     def __enter__(self):
         return self.connect()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
 
 
 def null_server():

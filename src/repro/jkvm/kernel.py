@@ -526,23 +526,12 @@ def _vm_check_permission(vm, thread, context, permission, kernel):
     spans both kernels.  Denials surface as ``jk/AccessDenied``."""
     segments = context.segments
     cut, include_root = _guest_walk_cut(context)
-    for index in range(len(segments) - 1, cut - 1, -1):
-        domain = segments[index].domain
-        permissions = domain.permissions
-        if permissions is not None and not permissions.implies(permission):
-            _throw_access_denied(
-                kernel, vm, thread,
-                f"domain {domain.name} lacks permission {permission}",
-            )
+    chain = [segments[index].domain
+             for index in range(len(segments) - 1, cut - 1, -1)]
     if include_root:
-        root = _root_domain(kernel, context)
-        permissions = root.permissions if root is not None else None
-        if permissions is not None and not permissions.implies(permission):
-            _throw_access_denied(
-                kernel, vm, thread,
-                f"domain {root.name} lacks permission {permission}",
-            )
+        chain.append(_root_domain(kernel, context))
     try:
+        _policy.check_chain(chain, permission)
         _policy.check_permission(permission)
     except AccessDeniedError as exc:
         _throw_access_denied(kernel, vm, thread, str(exc))

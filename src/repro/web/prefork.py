@@ -73,7 +73,6 @@ class WorkerHandle(ChildProcess):
         self.server = server
         self.generation = generation
         self.last_stats = {}
-        self.retiring = False
         self.seq = 0
         self._pipe_lock = threading.Lock()
 
@@ -136,6 +135,10 @@ class PreforkServer:
 
         self._listener = None
         self._handles = []
+        # Workers draining out: no longer in _handles, their count not
+        # yet folded into _retired_requests.  stats() counts them from
+        # last_stats, so each is counted exactly once at every instant.
+        self._retiring = []
         self._lock = threading.RLock()
         self._monitor = None
         self._running = False
@@ -281,8 +284,6 @@ class PreforkServer:
             time.sleep(0.05)
             with self._lock:
                 for handle in list(self._handles):
-                    if handle.retiring or handle not in self._handles:
-                        continue
                     if handle.alive():
                         continue
                     # Crashed: retain what it last reported, replace it.
@@ -325,14 +326,9 @@ class PreforkServer:
                     self._handles.append(self._spawn())
                     continue
                 if current > target:
-                    # Retire the newest non-retiring worker.
-                    victim = next(
-                        (handle for handle in reversed(self._handles)
-                         if not handle.retiring), None)
-                    if victim is None:
-                        return current
-                    victim.retiring = True
-                    self._handles.remove(victim)
+                    # Retire the newest worker.
+                    victim = self._handles.pop()
+                    self._retiring.append(victim)
                 else:
                     self.workers = current
                     return current
@@ -364,43 +360,38 @@ class PreforkServer:
                 if old not in self._handles:
                     continue  # crashed and replaced mid-rotation
                 replacement = self._spawn()
-                old.retiring = True
                 self._handles[self._handles.index(old)] = replacement
+                self._retiring.append(old)
             self._retire(old)
         return self
 
-    def _retire(self, handle):
-        """Graceful worker retirement: DRAIN, fold its final counters
-        into the retained totals, reap the process."""
+    def _retire(self, handle, message=None, timeout=None):
+        """Graceful retirement of a worker already in ``_retiring``: DRAIN
+        (or ``message``), fold its final counters into the retained
+        totals, reap the process."""
+        if message is None:
+            message = {"type": "DRAIN", "timeout": self.drain_timeout}
+            timeout = self.drain_timeout + 5.0
         try:
-            final = handle.request({"type": "DRAIN",
-                                    "timeout": self.drain_timeout},
-                                   timeout=self.drain_timeout + 5.0)
-            with self._lock:
-                self._retired_requests += final.get("requests_served", 0)
+            final = handle.request(message, timeout=timeout)
         except PreforkError:
-            with self._lock:
-                self._retired_requests += handle.last_stats.get(
-                    "requests_served", 0
-                )
+            final = handle.last_stats
         finally:
             handle.stop()
+        with self._lock:
+            self._retired_requests += final.get("requests_served", 0)
+            self._retiring.remove(handle)
 
     def _teardown_workers(self, graceful):
         with self._lock:
             handles, self._handles = self._handles, []
+            if graceful:
+                self._retiring.extend(handles)
         for handle in handles:
             if graceful:
-                try:
-                    final = handle.request({"type": "STOP"}, timeout=5.0)
-                    self._retired_requests += final.get(
-                        "requests_served", 0
-                    )
-                except PreforkError:
-                    self._retired_requests += handle.last_stats.get(
-                        "requests_served", 0
-                    )
-            handle.stop()
+                self._retire(handle, {"type": "STOP"}, timeout=5.0)
+            else:
+                handle.stop()
 
     # -- introspection -----------------------------------------------------
     def worker_pids(self):
@@ -429,11 +420,13 @@ class PreforkServer:
             reports = [report for handle, report in polled
                        if handle in self._handles]
             retired = self._retired_requests
+            draining = sum(handle.last_stats.get("requests_served", 0)
+                           for handle in self._retiring)
             crash_replacements = self._crash_replacements
         return {
             "workers": reports,
             "worker_count": len(reports),
-            "requests_served": retired + sum(
+            "requests_served": retired + draining + sum(
                 report.get("requests_served", 0) for report in reports
             ),
             "retired_requests": retired,

@@ -22,7 +22,14 @@ from repro.core import (
     Remote,
     RevokedException,
 )
-from repro.ipc import DomainHostProcess, connect
+from repro.ipc import (
+    DomainHostProcess,
+    RpcClient,
+    RpcServerProcess,
+    RpcTransportError,
+    connect,
+    pool,
+)
 from repro.ipc.lrmi import IDEMPOTENT_CONTROL, DomainClient
 
 
@@ -115,7 +122,7 @@ class TestCheckoutHealthCheck:
 
 class TestCallDeadlines:
     def test_deadline_bounds_a_slow_call(self, host):
-        client = connect(host, call_deadline=0.3, timeout=30.0)
+        client = connect(host, call_deadline=0.3)
         proxy = client.lookup("echo")
         start = time.monotonic()
         with pytest.raises(DomainUnavailableException):
@@ -194,6 +201,38 @@ class TestIdempotentRetry:
         client.close()
 
 
+def _killed(process):
+    os.kill(process.pid, signal.SIGKILL)
+    while process.alive():
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("transport", ["lrmi", "ntrpc"])
+def test_backoff_never_sleeps_past_the_deadline(request, transport):
+    """Both pooled clients cap each backoff pause at the time left: with
+    a 0.4 s first pause and a 0.5 s deadline, a dead server's typed
+    error arrives at the deadline, not after the 0.4 + 0.8 s schedule."""
+    options = dict(retries=50, backoff=0.4, call_deadline=0.5)
+    if transport == "lrmi":
+        server = request.getfixturevalue("host")
+        client = connect(server, **options)
+        call, error = client.stats, DomainUnavailableException
+    else:
+        server = RpcServerProcess({"echo": lambda p: p}).start()
+        request.addfinalizer(server.stop)
+        client = RpcClient(server.path, **options)
+        call, error = (lambda: client.call("echo")), RpcTransportError
+    try:
+        call()  # pools a live connection
+        _killed(server)
+        start = time.monotonic()
+        with pytest.raises(error):
+            call()
+        assert time.monotonic() - start < 0.5 + 0.25
+    finally:
+        client.close()
+
+
 class TestPooledSocketToctou:
     """The reused-socket TOCTOU window (ported from ntrpc, PR 7): the
     checkout probe can pass and the host die before the send — the
@@ -205,7 +244,7 @@ class TestPooledSocketToctou:
         race exactly), a NON-idempotent call on the stale pooled socket
         must transparently retry once on a freshly dialed connection —
         with ``retries=0``, proving the one-shot fresh-dial retry in
-        ``_exchange`` is independent of the idempotent-retry budget."""
+        the pool is independent of the idempotent-retry budget."""
         client = connect(host)
         assert client.retries == 0
         proxy = client.lookup("echo")
@@ -223,8 +262,8 @@ class TestPooledSocketToctou:
         other.close()
         # Blind the probe: checkout hands out the dead pooled socket,
         # exactly as if the host had died between probe and send.
-        monkeypatch.setattr(DomainClient, "_healthy",
-                            staticmethod(lambda connection: True))
+        monkeypatch.setattr(pool, "probe",
+                            lambda sock, idle_bytes_ok: True)
         evicted_before = client.evicted
         assert proxy.echo("back") == "back"
         # The save came from the fresh-dial retry, not from eviction.

@@ -272,7 +272,7 @@ class TestRetryAndCheckout:
         The call must retry once on a fresh dial (keep-alive style) —
         independent of the ``retries`` knob — not surface the corpse's
         ECONNRESET."""
-        from repro.ipc import ntrpc
+        from repro.ipc import pool
 
         server, _ = _threaded_server(tmp_path, {"echo": lambda p: p},
                                      name="restart.sock")
@@ -283,8 +283,8 @@ class TestRetryAndCheckout:
                                       name="restart.sock")
         # Blind the probe so checkout hands back the dead pooled
         # socket as if it were healthy — the losing side of the race.
-        monkeypatch.setattr(ntrpc.select, "select",
-                            lambda r, w, x, t=0: ([], [], []))
+        monkeypatch.setattr(pool, "probe",
+                            lambda sock, idle_bytes_ok: True)
         try:
             assert client.call("echo", b"b") == b"b"
         finally:

@@ -167,6 +167,66 @@ class TestRollingRestart:
                 >= STRESS_CLIENTS * STRESS_ROUNDS - report.dropped
 
 
+def _gated_app(gate_dir):
+    """A worker app whose ``/servlet/gate`` creates ``gate_dir/started``
+    and then holds the request until ``gate_dir/release`` exists."""
+    jk = JKernelWebServer(workers=1)
+    jk.server.documents.put("/doc", b"prefork-doc")
+    started = os.path.join(gate_dir, "started")
+    release = os.path.join(gate_dir, "release")
+
+    class GateServlet(Servlet):
+        def service(self, request):
+            open(started, "w").close()
+            deadline = time.monotonic() + 20.0
+            while not os.path.exists(release) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return ServletResponse(200, {"Content-Type": "text/plain"},
+                                   b"released")
+
+    jk.install_servlet("/gate", GateServlet)
+    return jk
+
+
+class TestRetireAccounting:
+    def test_stats_never_drop_a_draining_workers_count(self, tmp_path):
+        """A worker that is draining out still counts: between leaving
+        the fleet and folding its final report, its requests were once
+        missing from ``requests_served``, so a reading taken mid-drain
+        was lower than one taken before the restart."""
+        import threading
+
+        gate = str(tmp_path)
+        with PreforkServer(lambda: _gated_app(gate), workers=1,
+                           drain_timeout=20.0) as master:
+            for _ in range(5):
+                assert fetch_once("127.0.0.1", master.port,
+                                  "/doc").status == 200
+            old_pid = master.worker_pids()[0]
+            slow = []
+            parked = threading.Thread(target=lambda: slow.append(
+                fetch_once("127.0.0.1", master.port, "/servlet/gate",
+                           timeout=30.0)))
+            parked.start()
+            assert _wait(lambda: os.path.exists(tmp_path / "started"))
+            before = master.stats()["requests_served"]
+            assert before == 6  # counted when parsed, parked one included
+            restart = threading.Thread(target=master.rolling_restart)
+            restart.start()
+            try:
+                # The old worker has left the fleet; its DRAIN waits on
+                # the parked request.
+                assert _wait(lambda: old_pid not in master.worker_pids())
+                assert master.stats()["requests_served"] >= before
+            finally:
+                (tmp_path / "release").touch()
+                parked.join(30.0)
+                restart.join(30.0)
+            assert slow[0].status == 200
+            assert master.stats()["requests_served"] == 6
+
+
 class TestCrashReplacement:
     def test_master_replaces_crashed_worker(self):
         with PreforkServer(_doc_app, workers=2) as master:
