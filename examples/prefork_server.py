@@ -81,10 +81,19 @@ def main():
         os.kill(registration.host.pid, signal.SIGKILL)
         deadline = time.time() + 10
         while time.time() < deadline:
-            response = fetch_once("127.0.0.1", jk.port, "/servlet/sandbox")
-            if response.status == 200:
+            # A request whose browser socket was already granted to the
+            # dying host gets its connection closed with no reply (the
+            # framing is unknowable once the host held the fd): that is
+            # the same outage as a 503, so retry it the same way.
+            try:
+                response = fetch_once("127.0.0.1", jk.port,
+                                      "/servlet/sandbox")
+            except ConnectionError:
+                response = None
+            if response is not None and response.status == 200:
                 break
-            print(f"  -> {response.status} (supervisor respawning)")
+            outage = "closed" if response is None else response.status
+            print(f"  -> {outage} (supervisor respawning)")
             time.sleep(0.1)
         print("recovered:", response.body.decode().strip(),
               f"(respawns: {registration.respawns})")

@@ -3,9 +3,9 @@
 The calling convention's central trade — immutable data crosses domains
 by reference, everything else by copy — only held *in-process* until
 now: a sealed carrier crossing a process boundary re-serialized byte by
-byte.  This module backs sealed buffers with
-``multiprocessing.shared_memory`` so the same bytes are addressable from
-every process, and models protection-key semantics in the kernel
+byte.  This module backs sealed buffers with named POSIX shared-memory
+segments (``repro.ipc.shm.Segment``) so the same bytes are addressable
+from every process, and models protection-key semantics in the kernel
 (borrowing from "Efficient Sealable Protection Keys for RISC-V" and
 "Capacity"):
 
@@ -110,18 +110,6 @@ def _pid_alive(pid):
     return True
 
 
-def _shared_memory(**kwargs):
-    """A SharedMemory outside resource_tracker adoption (the bulk ring's
-    rule: lifetime here is explicit, and the forked tracker's set-backed
-    cache cannot survive both ends registering one name)."""
-    from multiprocessing.shared_memory import SharedMemory
-
-    from repro.ipc.shm import _untracked
-
-    with _untracked():
-        return SharedMemory(**kwargs)
-
-
 def _round_capacity(nbytes):
     capacity = 4096
     while capacity < nbytes:
@@ -139,7 +127,7 @@ class RegionPool:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._free = {}  # capacity -> [SharedMemory, ...]
+        self._free = {}  # capacity -> [Segment, ...]
         self._pid = os.getpid()
         self._seq = 0
         self._gen = (self._pid & 0xFFFF) << 16
@@ -154,10 +142,7 @@ class RegionPool:
         self._gen = (self._pid & 0xFFFF) << 16
         for segments in inherited.values():
             for shm in segments:
-                try:
-                    shm.close()
-                except (OSError, BufferError):
-                    pass
+                _discard(shm, unlink=False)
 
     def _next_generation(self):
         self._gen = (self._gen + 1) & 0xFFFFFFFF
@@ -176,8 +161,9 @@ class RegionPool:
             self._seq += 1
             name = _segment_name(self._pid, self._seq)
             generation = self._next_generation()
-        return _shared_memory(create=True, size=capacity,
-                              name=name), generation
+        from repro.ipc.shm import Segment  # lazily: repro.ipc imports core
+
+        return Segment(name, create=True, size=capacity), generation
 
     def release(self, shm):
         """Return a segment whose header is already poisoned; unlinks
@@ -215,25 +201,20 @@ def _finalize_owner(shm, generation):
     _POOL.release(shm)
 
 
-def _unlink_quiet(shm):
-    """Idempotent unlink-by-name, without waking the resource tracker
-    about a segment it was never told about."""
-    from repro.ipc.shm import _untracked
-
-    with _untracked():
+def _discard(shm, unlink):
+    """Unmap (and unlink) a segment; 1 when the unmap failed, else 0.
+    Unlink is by name and idempotent: a missing name is not a failure."""
+    failed = 0
+    try:
+        shm.close()
+    except (OSError, BufferError):
+        failed = 1
+    if unlink:
         try:
             shm.unlink()
         except OSError:
             pass
-
-
-def _discard(shm, unlink):
-    try:
-        shm.close()
-    except (OSError, BufferError):
-        pass
-    if unlink:
-        _unlink_quiet(shm)
+    return failed
 
 
 _POOL = RegionPool()
@@ -483,7 +464,7 @@ class AttachmentCache:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._attached = {}  # name -> SharedMemory
+        self._attached = {}  # name -> Segment
 
     def resolve(self, descriptor):
         """A view :class:`SealedRegion` for one grant descriptor, after
@@ -497,8 +478,10 @@ class AttachmentCache:
         with self._lock:
             shm = self._attached.get(name)
             if shm is None:
+                from repro.ipc.shm import Segment  # on a miss only
+
                 try:
-                    shm = _shared_memory(name=name)
+                    shm = Segment(name)
                 except (OSError, ValueError) as exc:
                     raise RegionRevokedError(
                         f"sealed region {name} cannot be attached: {exc}"
@@ -548,12 +531,7 @@ class AttachmentCache:
         for name, shm in attached.items():
             pid = _owner_pid(name)
             owner_dead = pid is not None and not _pid_alive(pid)
-            try:
-                shm.close()
-            except (OSError, BufferError):
-                failures += 1
-            if owner_dead:
-                _unlink_quiet(shm)
+            failures += _discard(shm, unlink=owner_dead)
         return failures
 
     def __len__(self):

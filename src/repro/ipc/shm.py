@@ -1,7 +1,7 @@
 """Per-connection shared-memory bulk ring for the cross-process wire.
 
 Payloads above the LRMI inline threshold do not ride the socket: the
-sender serializes into a ``multiprocessing.shared_memory`` segment it
+sender serializes into a shared-memory :class:`Segment` it
 owns and sends a tiny *grant* frame — ``(generation, offset, length)``
 — instead.  The receiver maps the same segment (announced once, by
 name, over the socket) and deserializes straight out of it.
@@ -31,25 +31,25 @@ Failure handling
   ``shm_unlink`` by name is idempotent; the second call is a no-op),
   so whichever side survives a crash reclaims the name and the memory.
 
-The segments are deliberately *not* managed by multiprocessing's
-``resource_tracker``: the tracker assumes fork-inherited ownership and
-would unlink live rings (or warn about already-unlinked ones) when any
-one process exits.  Lifetime here is explicit — ``close()`` on both
-ends — so registration is suppressed at construction.  (Register-then-
-unregister does not work: creator and attacher share one forked tracker
-whose cache is a *set*, so the two registrations collapse and the
-second unregistration crashes the tracker thread with a KeyError.)
+Segments are plain files under ``/dev/shm`` (:class:`Segment`: Linux
+only, like ``purge_pid`` and ``pidfd_open``).  Ring names carry
+:data:`RING_PREFIX`, which never starts with the ``jkr`` of sealed
+region names, so ``regions.purge_pid`` never reclaims a live ring.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import struct
-import threading
 
 GRANT = struct.Struct(">III")  # generation, offset, length
+
+SHM_DIR = "/dev/shm/"
+
+#: Name prefix of every bulk-ring segment (``regions`` names its own
+#: segments ``jkr<pid>g<seq>``; the two must never share a prefix).
+RING_PREFIX = "jkbulk"
 
 _generation = itertools.count(
     (os.getpid() & 0xFFFF) << 16 | 1
@@ -60,28 +60,55 @@ class RingError(Exception):
     """A grant that cannot be honored (stale generation, bad bounds)."""
 
 
-_tracker_lock = threading.Lock()
+class Segment:
+    """A named POSIX shared-memory segment, mapped read-write.
 
+    ``create=True`` makes a new ``/dev/shm/<name>`` of ``size`` bytes
+    (``FileExistsError`` if the name is taken; a create that fails after
+    the open unlinks the name again); otherwise the segment is attached
+    and its size read back with ``fstat``.  ``buf`` is a memoryview of
+    the mapping, ``None`` once :meth:`close` ran; ``close`` raises
+    ``BufferError`` while a slice of ``buf`` is still exported.
+    Lifetime is explicit: nothing unlinks a segment but :meth:`unlink`
+    (or ``regions.purge_pid``)."""
 
-@contextlib.contextmanager
-def _untracked():
-    """Create/attach/unlink a SharedMemory without resource_tracker
-    involvement.  Unregister must be silenced alongside register: an
-    unlink of a never-registered segment would otherwise spawn a tracker
-    process just to log a KeyError about a name it was told to forget."""
-    from multiprocessing import resource_tracker
+    __slots__ = ("name", "size", "buf", "_mmap")
 
-    noop = lambda name, rtype: None  # noqa: E731
-    with _tracker_lock:
-        original_register = resource_tracker.register
-        original_unregister = resource_tracker.unregister
-        resource_tracker.register = noop
-        resource_tracker.unregister = noop
+    def __init__(self, name, create=False, size=0):
+        import mmap  # lazily: most forked processes never map a segment
+
+        if not name or "/" in name:
+            raise ValueError(f"bad shared-memory segment name {name!r}")
+        path = SHM_DIR + name
+        flags = os.O_RDWR | os.O_NOFOLLOW
+        if create:
+            flags |= os.O_CREAT | os.O_EXCL
+        fd = os.open(path, flags, 0o600)
         try:
-            yield
+            if create:
+                os.ftruncate(fd, size)
+            size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, size)  # dups fd; ours closes below
+        except BaseException:
+            if create:
+                os.unlink(path)
+            raise
         finally:
-            resource_tracker.register = original_register
-            resource_tracker.unregister = original_unregister
+            os.close(fd)
+        self.name = name
+        self.size = size
+        self.buf = memoryview(self._mmap)
+
+    def close(self):
+        """Unmap (idempotent); ``BufferError`` while a view is exported."""
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+        self._mmap.close()
+
+    def unlink(self):
+        """Remove the name; ``FileNotFoundError`` once it is gone."""
+        os.unlink(SHM_DIR + self.name)
 
 
 class BulkRing:
@@ -100,19 +127,13 @@ class BulkRing:
 
     @classmethod
     def create(cls, size):
-        from multiprocessing.shared_memory import SharedMemory
-
-        with _untracked():
-            shm = SharedMemory(create=True, size=size)
+        shm = Segment(RING_PREFIX + os.urandom(8).hex(), create=True,
+                      size=size)
         return cls(shm, _generation() & 0xFFFFFFFF, owner=True)
 
     @classmethod
     def attach(cls, name, generation):
-        from multiprocessing.shared_memory import SharedMemory
-
-        with _untracked():
-            shm = SharedMemory(name=name)
-        return cls(shm, generation, owner=False)
+        return cls(Segment(name), generation, owner=False)
 
     # -- sender ------------------------------------------------------------
     def grant(self, payload):
@@ -179,11 +200,10 @@ class BulkRing:
             self.shm.close()
         except (OSError, BufferError):
             failures += 1
-        with _untracked():
-            try:
-                self.shm.unlink()
-            except OSError:  # includes FileNotFoundError: peer beat us
-                pass
+        try:
+            self.shm.unlink()
+        except OSError:  # includes FileNotFoundError: peer beat us
+            pass
         return failures
 
     def __repr__(self):

@@ -168,7 +168,7 @@ class TestHostCrashMidGrant:
         shm_dir = "/dev/shm"
         names_before = (set(_os.listdir(shm_dir))
                         if _os.path.isdir(shm_dir) else None)
-        from repro.ipc import lrmi
+        from repro.ipc import lrmi, shm
         monkeypatch.setattr(lrmi, "SHM_THRESHOLD", 2048)  # pre-fork
         install(ChaosConfig(crash_at=("lrmi.host.dispatch",),
                             scope="child"))
@@ -188,7 +188,7 @@ class TestHostCrashMidGrant:
         assert _wait(lambda: not host.alive(), timeout=5.0)
         if names_before is not None:
             leaked = {name for name in set(_os.listdir(shm_dir)) - names_before
-                      if name.startswith("psm_")}
+                      if name.startswith(shm.RING_PREFIX)}
             assert not leaked, f"shared-memory segments leaked: {leaked}"
 
 

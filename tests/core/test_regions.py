@@ -20,9 +20,9 @@ from repro.core.regions import (
     REVOKED_GENERATION,
     AttachmentCache,
     _segment_name,
-    _shared_memory,
     purge_pid,
 )
+from repro.ipc.shm import Segment
 
 
 @pytest.fixture()
@@ -246,7 +246,7 @@ class TestPurgeAndCacheHygiene:
     def test_purge_pid_targets_only_that_pid(self):
         fake_pid = 4_000_000  # beyond pid_max: never a live process
         name = _segment_name(fake_pid, 1)
-        segment = _shared_memory(create=True, size=4096, name=name)
+        segment = Segment(name, create=True, size=4096)
         segment.close()
         mine = seal(b"still mine")
         try:

@@ -1,14 +1,19 @@
 """Shared-memory bulk-ring edges: wrap-around, fallback, stale grants.
 
 The ring is an optimization with sharp failure edges; each gets pinned
-here at the level where it lives — allocator arithmetic on a bare
+here at the level where it lives — the :class:`Segment` primitive under
+both the ring and sealed regions, allocator arithmetic on a bare
 :class:`BulkRing`, grant validation on a :class:`_Connection`, and the
 full client↔host path over a real fork for the behaviour a user
 observes (big payloads still round-trip when the ring wraps, overflows,
 or cannot exist at all).
 """
 
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +21,128 @@ from repro.core import Capability, Domain, Remote
 from repro.ipc import DomainHostProcess, ProtocolError, connect
 from repro.ipc import lrmi
 from repro.ipc.lrmi import MF_SHM, _Connection, _Peer
-from repro.ipc.shm import GRANT, BulkRing, RingError
+from repro.ipc.shm import (
+    GRANT,
+    RING_PREFIX,
+    SHM_DIR,
+    BulkRing,
+    RingError,
+    Segment,
+)
+
+
+def _fresh_name(tag):
+    return f"jktest{os.getpid()}{tag}"
+
+
+class TestSegment:
+    def test_create_attach_share_bytes(self):
+        name = _fresh_name("share")
+        owner = Segment(name, create=True, size=8192)
+        try:
+            owner.buf[:5] = b"hello"
+            peer = Segment(name)
+            try:
+                assert peer.size == 8192  # read back with fstat
+                assert bytes(peer.buf[:5]) == b"hello"
+            finally:
+                peer.close()
+        finally:
+            owner.close()
+            owner.unlink()
+        assert not os.path.exists(SHM_DIR + name)
+        with pytest.raises(FileNotFoundError):
+            owner.unlink()
+
+    def test_create_over_existing_name_keeps_the_segment(self):
+        name = _fresh_name("exists")
+        first = Segment(name, create=True, size=4096)
+        try:
+            first.buf[:4] = b"keep"
+            with pytest.raises(FileExistsError):
+                Segment(name, create=True, size=4096)
+            survivor = Segment(name)
+            try:
+                assert survivor.size == 4096
+                assert bytes(survivor.buf[:4]) == b"keep"
+            finally:
+                survivor.close()
+        finally:
+            first.close()
+            first.unlink()
+
+    def test_failed_create_leaves_no_name(self):
+        name = _fresh_name("empty")
+        with pytest.raises((OSError, ValueError)):
+            Segment(name, create=True, size=0)
+        assert not os.path.exists(SHM_DIR + name)
+
+    def test_close_with_exported_view_raises_buffer_error(self):
+        name = _fresh_name("pinned")
+        segment = Segment(name, create=True, size=4096)
+        try:
+            view = segment.buf[:16]
+            with pytest.raises(BufferError):
+                segment.close()
+            view.release()
+            segment.close()
+            segment.close()  # idempotent
+            assert segment.buf is None
+        finally:
+            segment.unlink()
+
+    def test_names_with_a_path_are_refused(self):
+        with pytest.raises(ValueError):
+            Segment("../etc/passwd")
+        with pytest.raises(ValueError):
+            Segment("")
+
+    def test_ring_names_never_match_region_names(self):
+        ring = BulkRing.create(256)
+        try:
+            assert ring.name.startswith(RING_PREFIX)
+            assert not RING_PREFIX.startswith("jkr")
+        finally:
+            ring.close()
+
+
+_NO_MULTIPROCESSING = """
+import sys
+from repro.core import seal
+from repro.core.regions import AttachmentCache
+from repro.ipc.shm import BulkRing
+
+region = seal(b"s" * 65536)
+cache = AttachmentCache()
+view = cache.resolve(region.grant_descriptor())
+assert view.bytes() == b"s" * 65536
+view.revoke()
+region.revoke()
+assert cache.close() == 0
+ring = BulkRing.create(4096)
+peer = BulkRing.attach(ring.name, ring.generation)
+assert peer.close() == 0 and ring.close() == 0
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_shared_memory_never_imports_multiprocessing():
+    """Every forked host inherits its parent's imports, and a cold
+    ``multiprocessing`` import costs a servlet host's startup tens of
+    milliseconds: sealing, resolving and ringing must not pull it in,
+    and must leave no segment behind."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    ours = (RING_PREFIX, "jkr")
+    before = {n for n in os.listdir(SHM_DIR) if n.startswith(ours)}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MULTIPROCESSING],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout.decode()
+    assert proc.stdout.decode().strip() == "False"
+    after = {n for n in os.listdir(SHM_DIR) if n.startswith(ours)}
+    assert after <= before, f"segments left behind: {after - before}"
 
 
 class TestBulkRingAllocator:
